@@ -3,10 +3,14 @@
 Three evaluations that share no code with the closed form:
 
 * contour quadrature of the defining integral (deterministic, exponentially
-  convergent in node count, works for any dimension),
-* Monte Carlo integration of the simplex-face representation,
+  convergent in node count; at the default 512 nodes within about 1e-12 of
+  a high-precision reference up to n = 64, and losing digits beyond it:
+  errors up to 6e-9 at n = 128 and 3e-5 at n = 256),
+* Monte Carlo integration of the simplex-face representation, each face an
+  r-subset drawn by a per-sample random permutation,
 * Monte Carlo average of measurement information over Haar-random bases
-  (converges to the subentropy).
+  (converges to the subentropy), the bases orthonormalized from complex
+  Ginibre draws by batched Gram-Schmidt.
 
 Randomness comes from numpy's PCG64 generator; a fixed seed, together with
 the fixed internal chunk size, reproduces every estimate bit for bit.
@@ -28,6 +32,12 @@ from .spectra import as_spectrum
 
 MIN_SAMPLES = 100
 _CHUNK = 20000  # fixed so the random stream layout never depends on `samples`
+_TINY = np.finfo(float).tiny
+
+
+def _xlnx(v):
+    """Elementwise v ln v for v >= 0, with 0 ln 0 = 0."""
+    return v * np.log(np.maximum(v, _TINY))
 
 
 @dataclass(frozen=True)
@@ -178,12 +188,19 @@ def _check_mc_args(samples, seed):
     return int(samples), None if seed is None else int(seed)
 
 
+def _random_faces(rng, n, r, count):
+    """(count, r) uniformly random r-subsets of range(n): the first r entries
+    of an independent random permutation per row."""
+    return rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)[:, :r]
+
+
 def simplex_monte_carlo(s, r, samples, seed):
     """Order-r entropy by Monte Carlo over simplex faces.
 
-    Each sample picks one of the C(n, r) faces uniformly (an r-subset of
-    coordinates), draws a flat-Dirichlet point x on that face (normalized
-    exponentials), and evaluates
+    Each sample picks one of the C(n, r) faces uniformly (the first r
+    entries of a uniformly random permutation of the coordinates), draws a
+    flat-Dirichlet point x on that face (normalized exponentials), and
+    evaluates
 
         f(x) = -(sum l_i x_i) ln(sum l_i x_i) + sum l_i x_i ln x_i
 
@@ -201,14 +218,11 @@ def simplex_monte_carlo(s, r, samples, seed):
     done = 0
     while done < samples:
         block = min(_CHUNK, samples - done)
-        faces = np.argsort(rng.random((block, n)), axis=1)[:, :r]
+        faces = _random_faces(rng, n, r, block)
         expo = rng.standard_exponential((block, r))
-        x = expo / expo.sum(axis=1, keepdims=True)
+        x = expo / np.einsum("ij->i", expo)[:, None]
         lam = s.values[faces]
-        mu = np.einsum("ij,ij->i", lam, x)
-        xlnx = np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
-        f = -np.where(mu > 0.0, mu * np.log(np.where(mu > 0.0, mu, 1.0)), 0.0)
-        f += np.einsum("ij,ij->i", lam, xlnx)
+        f = np.einsum("ij,ij->i", lam, _xlnx(x)) - _xlnx(np.einsum("ij,ij->i", lam, x))
         vals[done:done + block] = n * f
         done += block
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
@@ -219,18 +233,29 @@ def simplex_monte_carlo(s, r, samples, seed):
 def haar_random_unitaries(n, count, seed):
     """Stack of Haar-distributed n x n unitaries.
 
-    Complex Ginibre matrices are orthonormalized by QR, then each column is
-    rephased by the sign of the corresponding diagonal entry of R.  Without
-    that rephasing QR's sign convention skews the distribution away from
-    Haar; with it the result is exactly Haar.
+    The columns of each complex Ginibre matrix are orthonormalized by
+    classical Gram-Schmidt with one re-orthogonalization pass (CGS2),
+    vectorized across the stack.  Gram-Schmidt yields the QR factorization
+    whose R has a positive real diagonal, which is unique, so the result is
+    exactly Haar.  One pass alone loses orthogonality in proportion to the
+    Ginibre matrix's condition number; the second restores it to rounding
+    level.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidIndexError(f"n must be a positive integer, got {n!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    q, rm = np.linalg.qr(g / math.sqrt(2.0))
-    d = np.einsum("sii->si", rm)
-    return q * (d / np.abs(d))[:, None, :]
+    # q[i, j, s] is row i, column j of sample s: the batch axis is innermost,
+    # so every step below is an elementwise operation over the whole stack
+    q = g.transpose(1, 2, 0).copy()
+    for j in range(n):
+        v = q[:, j, :]
+        if j:
+            prev = q[:, :j, :]
+            for _ in range(2):
+                v -= np.einsum("ijs,js->is", prev, np.einsum("ijs,is->js", prev.conj(), v))
+        v /= np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=0))
+    return q.transpose(2, 0, 1)
 
 
 def haar_information_samples(s, samples, seed):
@@ -254,13 +279,10 @@ def haar_information_samples(s, samples, seed):
     while done < samples:
         block = min(_CHUNK, samples - done)
         u = haar_random_unitaries(n, block, rng)
-        b = np.abs(u) ** 2                       # b[s, i, k] = |<e_k|i>|^2
+        b = u.real ** 2 + u.imag ** 2            # b[s, i, k] = |<e_k|i>|^2
         pk = np.einsum("i,sik->sk", lam, b)
-        blnb = np.where(b > 0.0, b * np.log(np.where(b > 0.0, b, 1.0)), 0.0)
-        h_out_given = -np.einsum("i,sik->s", lam, blnb)
-        h_out = -np.einsum(
-            "sk->s", np.where(pk > 0.0, pk * np.log(np.where(pk > 0.0, pk, 1.0)), 0.0)
-        )
+        h_out_given = -np.einsum("i,sik->s", lam, _xlnx(b))
+        h_out = -np.einsum("sk->s", _xlnx(pk))
         out[done:done + block] = h_out - h_out_given
         done += block
     return out

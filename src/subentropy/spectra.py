@@ -111,8 +111,12 @@ def as_spectrum(s):
 
 
 def _offdiag_norm(a):
-    d = np.diagonal(a)
-    return math.sqrt(max(np.linalg.norm(a) ** 2 - np.linalg.norm(d) ** 2, 0.0))
+    # Summed from the off-diagonal entries themselves: the shortcut
+    # sqrt(|A|^2 - |diag A|^2) cancels to a rounding floor near sqrt(eps) |A|,
+    # far above the JACOBI_REL_OFF target.
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    return np.linalg.norm(off)
 
 
 def _jacobi_eigenvalues(matrix):

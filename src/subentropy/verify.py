@@ -25,6 +25,7 @@ from .entropy import (
     _check_r,
     _distinct_orders_batch,
     intermediate_entropies,
+    pad_intermediate_entropies,
     von_neumann_entropy,
 )
 from .errors import InvalidIndexError
@@ -33,7 +34,7 @@ from .oracles import (
     haar_average_information,
     simplex_monte_carlo,
 )
-from .spectra import CLUSTER_TOL, tensor_spectrum
+from .spectra import CLUSTER_TOL, ZERO_TOL, tensor_spectrum
 
 DEGENERATE_RATE = 0.05
 DETAIL_CAP = 10
@@ -114,19 +115,26 @@ def _sample_spectra(rng, trials, n, degenerate_rate=DEGENERATE_RATE):
 def _orders_matrix(lams):
     """Order-value rows for a (B, n) stack of spectra.
 
-    Rows whose smallest relative gap clears the cluster tolerance and that
-    contain no zeros ride the vectorized distinct-eigenvalue path; the rest
-    go through the exact confluent path individually.
+    Trailing zeros (values below ZERO_TOL) are split off first.  Rows whose
+    positive part has every relative gap above the cluster tolerance ride
+    the vectorized distinct-eigenvalue path on that part, and a pad matrix
+    (the padding identity applied to unit vectors) maps the orders back to
+    dimension n; the rest go through the exact confluent path individually.
     """
     lams = np.sort(np.asarray(lams, float), axis=1)[:, ::-1]
     b, n = lams.shape
-    if n == 1:
-        return np.zeros((b, 1))
+    rank = np.count_nonzero(lams >= ZERO_TOL, axis=1)
     rel_gap = (lams[:, :-1] - lams[:, 1:]) / np.maximum(lams[:, :-1], 1e-300)
-    clean = (rel_gap.min(axis=1) > CLUSTER_TOL) & (lams[:, -1] > 0.0)
+    # gap g separates entries g and g + 1 and counts only if both are positive
+    separated = (rel_gap > CLUSTER_TOL) | (np.arange(1, n) >= rank[:, None])
+    clean = separated.all(axis=1) & (rank > 0)
     out = np.empty((b, n))
-    if clean.any():
-        out[clean] = _distinct_orders_batch(lams[clean])
+    for k in np.unique(rank[clean]):
+        rows = clean & (rank == k)
+        orders = _distinct_orders_batch(lams[rows, :k])
+        if k < n:
+            orders = orders @ np.array([pad_intermediate_entropies(e, n - k) for e in np.eye(k)])
+        out[rows] = orders
     for i in np.nonzero(~clean)[0]:
         out[i] = intermediate_entropies(lams[i])
     return out

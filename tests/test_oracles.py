@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from subentropy import (
     subentropy,
     von_neumann_entropy,
 )
+from subentropy.oracles import _random_faces
 
 GENERIC4 = np.array([0.4, 0.3, 0.2, 0.1])
 
@@ -185,6 +187,19 @@ class TestSimplexMonteCarlo:
         assert a.samples == 60001
         assert np.isfinite(a.value) and a.stderr > 0.0
 
+    def test_faces_uniform_over_subsets(self):
+        n, r, count = 4, 2, 60000
+        faces = _random_faces(np.random.default_rng(8), n, r, count)
+        assert faces.shape == (count, r)
+        assert np.all(faces[:, 0] != faces[:, 1])
+        subsets = list(itertools.combinations(range(n), r))
+        keys = np.sort(faces, axis=1) @ np.array([n, 1])
+        p = 1.0 / len(subsets)
+        se = math.sqrt(p * (1.0 - p) / count)
+        for a, b in subsets:
+            share = np.count_nonzero(keys == a * n + b) / count
+            assert abs(share - p) < 5.0 * se, ((a, b), share)
+
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
             simplex_monte_carlo(GENERIC4, 2, 99, 1)
@@ -200,6 +215,26 @@ class TestHaarOracle:
             us = haar_random_unitaries(n, 3, 17)
             for u in us:
                 assert np.allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
+
+    def test_unitaries_unitary_up_to_n_64(self):
+        # a single Gram-Schmidt pass lands near 1e-13 here; the
+        # re-orthogonalization pass brings it to about 1e-15
+        for n in (8, 24, 64):
+            us = haar_random_unitaries(n, 40, n)
+            gram = np.einsum("sji,sjk->sik", us.conj(), us)
+            assert np.abs(gram - np.eye(n)).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 24])
+    def test_unitaries_match_rephased_qr_of_same_draw(self, n):
+        # Gram-Schmidt gives the QR factor with a positive diagonal in R,
+        # which is what QR followed by rephasing by R's diagonal produces
+        rng = np.random.default_rng(40 + n)
+        g = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
+        q, rm = np.linalg.qr(g / math.sqrt(2.0))
+        d = np.einsum("sii->si", rm)
+        want = q * (d / np.abs(d))[:, None, :]
+        got = haar_random_unitaries(n, 50, 40 + n)
+        assert np.abs(got - want).max() < 1e-12
 
     def test_unitaries_deterministic(self):
         a = haar_random_unitaries(3, 2, 9)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,21 @@ class TestDensityMatrixValidation:
     def test_eigenvalues_helper(self):
         s = eigenvalues(np.array([[0.5, 0.2], [0.2, 0.5]]))
         assert np.allclose(s.values, [0.7, 0.3], atol=1e-14)
+
+    @pytest.mark.parametrize("n, seed", [(3, 29), (6, 17), (12, 3), (24, 1), (32, 1)])
+    def test_wishart_states_that_used_to_stall(self, n, seed):
+        # the off-diagonal norm once came from sqrt(|A|^2 - |diag A|^2), whose
+        # rounding floor near 1e-8 sits far above the convergence target:
+        # these states raised NoConvergenceError after overflow warnings
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = validate_density_matrix(rho).spectrum.values
+        want = np.sort(np.linalg.eigvalsh(rho))[::-1]
+        assert np.abs(got - want).max() < 1e-14
 
     def test_slightly_negative_eigenvalue_clamped(self):
         (u,) = haar_random_unitaries(2, 1, 3)

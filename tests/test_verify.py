@@ -53,6 +53,20 @@ class TestOrdersMatrix:
             want = intermediate_entropies(lam[i])
             assert np.allclose(out[i], want, atol=1e-11)
 
+    def test_rank_deficient_rows_match_per_row_engine(self):
+        # trailing zeros are split off and put back by the padding identity;
+        # each batch mixes full-rank rows with rows of one and two zeros
+        rng = np.random.default_rng(4)
+        for n in (3, 4, 6):
+            rows = []
+            for zeros in (0, 1, 2, 1, 2):
+                pos = rng.standard_exponential(n - zeros)
+                rows.append(np.concatenate([pos / pos.sum(), np.zeros(zeros)]))
+            lam = np.array(rows)
+            out = _orders_matrix(lam)
+            for got, row in zip(out, lam):
+                assert np.abs(got - intermediate_entropies(row)).max() < 1e-13
+
     def test_accepts_unsorted_rows(self):
         lam = np.array([[0.1, 0.4, 0.3, 0.2]])
         out = _orders_matrix(lam)
