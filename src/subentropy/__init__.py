@@ -7,13 +7,7 @@ three independent oracles (contour quadrature, simplex Monte Carlo, Haar
 averaging) and a set of executable property suites.
 """
 
-from .coefficients import (
-    CoefficientTable,
-    binomial_table,
-    binomial_weights,
-    restricted_table,
-    restricted_weights,
-)
+from .coefficients import binomial_weights, restricted_weights
 from .entropy import (
     CLOSED_FORM_DIM_CAP,
     EntropyReport,
@@ -54,12 +48,9 @@ from .oracles import (
     simplex_monte_carlo,
 )
 from .spectra import (
-    ClusteredSpectrum,
     DensityMatrix,
     Spectrum,
     as_spectrum,
-    cluster,
-    eigenvalues,
     pad_with_zeros,
     tensor_spectrum,
     validate_density_matrix,
@@ -82,8 +73,6 @@ __all__ = [
     "AlphaOutOfRangeError",
     "CLOSED_FORM_DIM_CAP",
     "CapExceededError",
-    "ClusteredSpectrum",
-    "CoefficientTable",
     "ContourConfig",
     "DegenerateContourError",
     "DensityMatrix",
@@ -102,7 +91,6 @@ __all__ = [
     "TraceNotOneError",
     "ValidationError",
     "as_spectrum",
-    "binomial_table",
     "binomial_weights",
     "check_coefficient_recursion",
     "check_concavity",
@@ -111,11 +99,9 @@ __all__ = [
     "check_invariance_control",
     "check_oracle_agreement",
     "check_pure_additivity",
-    "cluster",
     "contour_intermediate_entropy",
     "contour_interpolated_entropy",
     "divided_difference",
-    "eigenvalues",
     "elementary_symmetric",
     "entropy_report",
     "haar_average_information",
@@ -127,7 +113,6 @@ __all__ = [
     "max_intermediate_entropy",
     "pad_intermediate_entropies",
     "pad_with_zeros",
-    "restricted_table",
     "restricted_weights",
     "run_suites",
     "simplex_monte_carlo",

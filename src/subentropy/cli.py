@@ -9,7 +9,8 @@ Subcommands:
 Input states are JSON: {"kind": "spectrum", "values": [...]} or
 {"kind": "density_matrix", "re": [[...]], "im": [[...]]} ("im" optional).
 Exit codes: 0 success, 1 property-suite failure, 2 unreadable/unparsable
-input, 3 state validation failure, 4 dimension cap exceeded, 5 usage error.
+input, 3 state validation failure, 4 dimension cap exceeded, 5 usage error
+(a bad option value, seed or trial count included).
 """
 
 import argparse
@@ -21,8 +22,10 @@ import sys
 
 import numpy as np
 
+from .coefficients import binomial_weights
 from .entropy import (
     CLOSED_FORM_DIM_CAP,
+    _orders_matrix,
     entropy_report,
     interpolated_entropy,
     intermediate_entropy,
@@ -46,7 +49,7 @@ from .oracles import (
     simplex_monte_carlo,
 )
 from .spectra import Spectrum, validate_density_matrix
-from .verify import SUITE_NAMES, run_suites, _orders_matrix
+from .verify import SUITE_NAMES, run_suites
 
 
 class _ParseError(Exception):
@@ -187,46 +190,43 @@ def _cmd_oracle(args):
     s = _load_state(args.input)
     if args.r is not None and args.alpha is not None:
         raise _UsageError("choose either --r or --alpha, not both")
+    if args.method == "simplex" and args.alpha is not None:
+        raise _UsageError("simplex estimates a single order; use --r")
+    if args.method == "haar" and (args.r is not None or args.alpha is not None):
+        raise _UsageError("haar estimates the subentropy; drop --r/--alpha")
     payload = {"method": args.method}
-    drew_seed = False
+    seed, drew_seed = args.seed, False
+    if args.method != "contour":
+        drew_seed = seed is None
+        if drew_seed:
+            seed = secrets.randbits(63)
+        payload["seed"] = seed
+    r = args.r if args.r is not None else s.dim
+    if args.alpha is not None:
+        payload["alpha"] = args.alpha
+    elif args.method != "haar":
+        payload["r"] = r
     if args.method == "contour":
         cfg = ContourConfig(nodes=args.nodes) if args.nodes else ContourConfig()
-        if args.alpha is not None:
-            # alpha = 0 degenerates to the plain entropy, i.e. order 1
-            if args.alpha == 0.0:
-                est = contour_intermediate_entropy(s, 1, cfg)
-            else:
-                est = contour_interpolated_entropy(s, args.alpha, cfg)
-            payload["alpha"] = args.alpha
-            closed = (interpolated_entropy(s, args.alpha)
-                      if s.dim <= CLOSED_FORM_DIM_CAP else None)
-        else:
-            r = args.r if args.r is not None else s.dim
+        if args.alpha is None:
             est = contour_intermediate_entropy(s, r, cfg)
-            payload["r"] = r
-            closed = (intermediate_entropy(s, r)
-                      if s.dim <= CLOSED_FORM_DIM_CAP else None)
+        elif args.alpha == 0.0:
+            # alpha = 0 degenerates to the plain entropy, i.e. order 1
+            est = contour_intermediate_entropy(s, 1, cfg)
+        else:
+            est = contour_interpolated_entropy(s, args.alpha, cfg)
+    elif args.method == "simplex":
+        est = simplex_monte_carlo(s, r, args.samples, seed)
     else:
-        seed = args.seed
-        if seed is None:
-            seed = secrets.randbits(63)
-            drew_seed = True
-        payload["seed"] = seed
-        if args.method == "simplex":
-            if args.alpha is not None:
-                raise _UsageError("simplex estimates a single order; use --r")
-            r = args.r if args.r is not None else s.dim
-            est = simplex_monte_carlo(s, r, args.samples, seed)
-            payload["r"] = r
-            closed = (intermediate_entropy(s, r)
-                      if s.dim <= CLOSED_FORM_DIM_CAP else None)
-        else:  # haar
-            if args.r is not None or args.alpha is not None:
-                raise _UsageError("haar estimates the subentropy; drop --r/--alpha")
-            est = haar_average_information(s, args.samples, seed)
-            closed = subentropy(s) if s.dim <= CLOSED_FORM_DIM_CAP else None
+        est = haar_average_information(s, args.samples, seed)
     payload.update(value=est.value, stderr=est.stderr, samples=est.samples)
-    if closed is not None:
+    if s.dim <= CLOSED_FORM_DIM_CAP:
+        if args.method == "haar":
+            closed = subentropy(s)
+        elif args.alpha is not None:
+            closed = interpolated_entropy(s, args.alpha)
+        else:
+            closed = intermediate_entropy(s, r)
         payload["closed_form"] = closed
         payload["abs_error"] = abs(est.value - closed)
         if est.stderr > 0.0:
@@ -312,8 +312,6 @@ def _cmd_surface(args):
     if kind == "order":
         values = orders[:, param - 1]
     else:
-        from .coefficients import binomial_weights
-
         values = orders @ binomial_weights(3, param)
     lines = ["lambda1,lambda2,lambda3,value"]
     for (i, j, k), v in zip(points, values):

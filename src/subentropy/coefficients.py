@@ -12,13 +12,12 @@ and the restricted family pinned to a single order at a top dimension
 (exact rationals).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 
 import numpy as np
 
-from .errors import AlphaOutOfRangeError, InvalidIndexError
+from .errors import AlphaOutOfRangeError, InvalidIndexError, _check_int
 
 
 def _comb0(n, k):
@@ -26,12 +25,6 @@ def _comb0(n, k):
     if 0 <= k <= n:
         return math.comb(n, k)
     return 0
-
-
-def _check_dim(n, name="n"):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidIndexError(f"{name} must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def binomial_weights(n, alpha):
@@ -50,7 +43,7 @@ def binomial_weights(n, alpha):
     numpy.ndarray
         Length-n float vector, nonnegative, summing to 1 within 1e-12.
     """
-    n = _check_dim(n)
+    n = _check_int(n, 1, None, InvalidIndexError, "n")
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRangeError(f"alpha must lie in [0, 1], got {alpha!r}")
@@ -69,41 +62,11 @@ def restricted_weights(N, r_hat, n):
     Returns a length-n tuple of ``fractions.Fraction`` so that recursion and
     normalization checks can be exact.
     """
-    N = _check_dim(N, "N")
-    r_hat = _check_dim(r_hat, "r_hat")
-    n = _check_dim(n)
-    if n > N:
-        raise InvalidIndexError(f"n must satisfy 1 <= n <= N = {N}, got {n}")
-    if r_hat > N:
-        raise InvalidIndexError(f"r_hat must satisfy 1 <= r_hat <= N = {N}, got {r_hat}")
+    N = _check_int(N, 1, None, InvalidIndexError, "N")
+    r_hat = _check_int(r_hat, 1, N, InvalidIndexError, "r_hat")
+    n = _check_int(n, 1, N, InvalidIndexError, "n")
     denom = math.comb(N - 1, r_hat - 1)
     return tuple(
         Fraction(_comb0(n - 1, r - 1) * _comb0(N - n, r_hat - r), denom)
         for r in range(1, n + 1)
     )
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Stack of weight rows for n = 1..max dimension.
-
-    kind is "binomial" or "restricted"; parameter holds (alpha,) or
-    (N, r_hat); rows[i] is the weight row for dimension i + 1.
-    """
-
-    kind: str
-    parameter: tuple
-    rows: tuple
-
-
-def binomial_table(max_n, alpha):
-    """Binomial weight rows for every dimension 1..max_n."""
-    max_n = _check_dim(max_n, "max_n")
-    rows = tuple(binomial_weights(n, alpha) for n in range(1, max_n + 1))
-    return CoefficientTable(kind="binomial", parameter=(float(alpha),), rows=rows)
-
-
-def restricted_table(N, r_hat):
-    """Restricted weight rows for every dimension 1..N (exact rationals)."""
-    rows = tuple(restricted_weights(N, r_hat, n) for n in range(1, N + 1))
-    return CoefficientTable(kind="restricted", parameter=(int(N), int(r_hat)), rows=rows)

@@ -15,6 +15,10 @@ symmetric polynomial identity, evaluated in O(n^3) for all orders at once;
 the general confluent path enumerates node signatures and can cost up to
 C(n, r) table evaluations, which is why closed-form evaluation is capped at
 n <= CLOSED_FORM_DIM_CAP.
+
+Which path a spectrum takes is decided here alone: cluster() merges values
+closer than CLUSTER_TOL (and values below ZERO_TOL into one zero node), and
+_orders_matrix() is the batch entry point the suites and the CLI share.
 """
 
 from dataclasses import dataclass
@@ -24,15 +28,17 @@ import numpy as np
 
 from .coefficients import _comb0, binomial_weights
 from .errors import (
-    AlphaOutOfRangeError,
     CapExceededError,
     InvalidIndexError,
     InvalidRError,
     SubentropyError,
+    _check_int,
 )
-from .spectra import as_spectrum, cluster
+from .spectra import as_spectrum
 
 CLOSED_FORM_DIM_CAP = 24
+CLUSTER_TOL = 1e-9        # relative gap for multiplicity detection
+ZERO_TOL = 1e-14          # values below this merge into one zero node
 
 
 def _xlnx(v):
@@ -41,12 +47,6 @@ def _xlnx(v):
     nz = v > 0.0
     out[nz] = v[nz] * np.log(v[nz])
     return out
-
-
-def _check_r(r, n):
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 1 <= r <= n:
-        raise InvalidRError(f"order r must be an integer in [1, {n}], got {r!r}")
-    return int(r)
 
 
 def _check_cap(n):
@@ -115,15 +115,14 @@ def divided_difference(r, nodes):
     -------
     float
     """
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
-        raise InvalidRError(f"r must be a positive integer, got {r!r}")
+    r = _check_int(r, 1, None, InvalidRError, "r")
     z = np.sort(np.asarray(nodes, float))[::-1]
     if z.size == 0:
         raise InvalidIndexError("divided difference needs at least one node")
     if z[-1] < 0.0:
         raise InvalidIndexError(f"nodes must be nonnegative, got {float(z[-1])!r}")
     values, counts = np.unique(z, return_counts=True)
-    taylor = {v: _g_taylor(int(r), float(v), int(c) - 1) for v, c in zip(values, counts)}
+    taylor = {v: _g_taylor(r, float(v), int(c) - 1) for v, c in zip(values, counts)}
     src = z.tolist()
     f = [taylor[v][0] for v in src]
     L = len(src)
@@ -160,11 +159,10 @@ def _signatures(mults, r):
     yield from rec(0, r)
 
 
-def _confluent_order(cs, r):
-    """Order-r value for a clustered spectrum via signature enumeration."""
-    vals = cs.values
-    mults = [int(m) for m in cs.multiplicities]
-    n = cs.dim
+def _confluent_order(vals, mults, r):
+    """Order-r value for distinct nodes with multiplicities, by signature enumeration."""
+    mults = [int(m) for m in mults]
+    n = sum(mults)
     taylor = [
         _g_taylor(r, float(v), min(m, r) - 1) if m > 0 else []
         for v, m in zip(vals, mults)
@@ -220,6 +218,29 @@ def _distinct_orders_batch(lams):
     return -sums / denom
 
 
+def cluster(s):
+    """Group a spectrum into distinct nodes with multiplicities.
+
+    Consecutive sorted values merge when their gap is below CLUSTER_TOL
+    relative to the larger value; values below ZERO_TOL merge into a single
+    node of value exactly 0.  Each merged node takes the mean of its
+    members.  Returns (values, multiplicities), descending by value.
+    """
+    s = as_spectrum(s)
+    nodes = []
+    run = [s.values[0]]
+    for v in s.values[1:]:
+        prev = run[-1]
+        if (prev < ZERO_TOL and v < ZERO_TOL) or (prev - v) <= CLUSTER_TOL * prev:
+            run.append(v)
+        else:
+            nodes.append(run)
+            run = [v]
+    nodes.append(run)
+    values = [0.0 if run[0] < ZERO_TOL else math.fsum(run) / len(run) for run in nodes]
+    return np.array(values), np.array([len(run) for run in nodes])
+
+
 def intermediate_entropies(s):
     """Vector of all order-r entropies, r = 1..n.
 
@@ -228,21 +249,21 @@ def intermediate_entropies(s):
     """
     s = as_spectrum(s)
     _check_cap(s.dim)
-    cs = cluster(s)
-    if int(cs.multiplicities.max()) == 1:
-        return _distinct_orders_batch(cs.values[None, :])[0]
-    return np.array([_confluent_order(cs, r) for r in range(1, s.dim + 1)])
+    vals, mults = cluster(s)
+    if int(mults.max()) == 1:
+        return _distinct_orders_batch(vals[None, :])[0]
+    return np.array([_confluent_order(vals, mults, r) for r in range(1, s.dim + 1)])
 
 
 def intermediate_entropy(s, r):
     """Order-r member of the entropy family (r = 1 entropy, r = n subentropy)."""
     s = as_spectrum(s)
-    r = _check_r(r, s.dim)
+    r = _check_int(r, 1, s.dim, InvalidRError, "order r")
     _check_cap(s.dim)
-    cs = cluster(s)
-    if int(cs.multiplicities.max()) == 1:
-        return float(_distinct_orders_batch(cs.values[None, :])[0, r - 1])
-    return float(_confluent_order(cs, r))
+    vals, mults = cluster(s)
+    if int(mults.max()) == 1:
+        return float(_distinct_orders_batch(vals[None, :])[0, r - 1])
+    return float(_confluent_order(vals, mults, r))
 
 
 def subentropy(s):
@@ -250,13 +271,14 @@ def subentropy(s):
 
     The order-n member of the family, evaluated through the same engine as
     intermediate_entropies so the r = n boundary identity is exact.  Capped
-    like the rest of the closed forms: past n = 24 every divided-difference
-    formulation sheds digits to cancellation (measurably ~1e-8 by n = 30,
-    total loss by n = 60) while the contour oracle stays stable, so large
-    spectra get CapExceededError pointing there instead of a wrong number.
+    like the rest of the closed forms at n = 24, past which spectra get
+    CapExceededError pointing to the contour oracle.  The cap does not make
+    smaller spectra accurate: every divided-difference formulation sheds
+    digits to cancellation as n grows.  Against a 250-digit reference, flat
+    Dirichlet spectra reach order errors of 3.5e-8 at n = 16 and 1.2e-3 at
+    n = 24 (worst of 60 each), and an exact pair next to a value 1e-8 below
+    it can be off by 0.27.
     """
-    s = as_spectrum(s)
-    _check_cap(s.dim)
     return float(intermediate_entropies(s)[-1] + 0.0)
 
 
@@ -266,9 +288,8 @@ def max_intermediate_entropy(n, r):
     Attained by the uniform spectrum; the r = 1 case is the entropy maximum
     ln n (the harmonic sum is empty).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidIndexError(f"n must be a positive integer, got {n!r}")
-    r = _check_r(r, n)
+    n = _check_int(n, 1, None, InvalidIndexError, "n")
+    r = _check_int(r, 1, n, InvalidRError, "order r")
     return math.log(n) - math.fsum(1.0 / k for k in range(2, r + 1))
 
 
@@ -286,10 +307,8 @@ def pad_intermediate_entropies(order_values, m):
     vals = np.atleast_1d(np.asarray(order_values, float))
     if vals.ndim != 1 or vals.size == 0:
         raise InvalidIndexError("order_values must be a nonempty vector")
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise InvalidIndexError(f"padding count must be a nonnegative integer, got {m!r}")
+    m = _check_int(m, 0, None, InvalidIndexError, "padding count")
     n = vals.size
-    m = int(m)
     out = np.empty(n + m)
     for r in range(1, n + m + 1):
         tot = 0.0
@@ -297,6 +316,34 @@ def pad_intermediate_entropies(order_values, m):
             if t <= n:
                 tot += _comb0(n - 1, t - 1) * _comb0(m, r - t) * vals[t - 1]
         out[r - 1] = tot / math.comb(n + m - 1, r - 1)
+    return out
+
+
+def _orders_matrix(lams):
+    """Order-value rows for a (B, n) stack of spectra.
+
+    Trailing zeros (values below ZERO_TOL) are split off first.  Rows whose
+    positive part has every relative gap above CLUSTER_TOL ride the
+    vectorized distinct-eigenvalue path on that part, and a pad matrix (the
+    padding identity applied to unit vectors) maps the orders back to
+    dimension n; the rest go through intermediate_entropies one by one.
+    """
+    lams = np.sort(np.asarray(lams, float), axis=1)[:, ::-1]
+    b, n = lams.shape
+    rank = np.count_nonzero(lams >= ZERO_TOL, axis=1)
+    rel_gap = (lams[:, :-1] - lams[:, 1:]) / np.maximum(lams[:, :-1], 1e-300)
+    # gap g separates entries g and g + 1 and counts only if both are positive
+    separated = (rel_gap > CLUSTER_TOL) | (np.arange(1, n) >= rank[:, None])
+    clean = separated.all(axis=1) & (rank > 0)
+    out = np.empty((b, n))
+    for k in np.unique(rank[clean]):
+        rows = clean & (rank == k)
+        orders = _distinct_orders_batch(lams[rows, :k])
+        if k < n:
+            orders = orders @ np.array([pad_intermediate_entropies(e, n - k) for e in np.eye(k)])
+        out[rows] = orders
+    for i in np.nonzero(~clean)[0]:
+        out[i] = intermediate_entropies(lams[i])
     return out
 
 

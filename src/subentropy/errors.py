@@ -1,4 +1,7 @@
-"""Exception types raised by input validation and resource guards."""
+"""Exception types raised by input validation and resource guards, and the
+integer check that raises them."""
+
+import numpy as np
 
 
 class SubentropyError(Exception):
@@ -51,3 +54,16 @@ class DegenerateContourError(SubentropyError):
 
 class TooFewSamplesError(SubentropyError):
     """Monte Carlo sample count below the minimum for a standard error."""
+
+
+def _check_int(value, lo, hi, error, what):
+    """Return value as an int if it is an integer in [lo, hi], else raise error.
+
+    hi = None leaves the range open above.  bool is rejected although it is
+    an int subclass; numpy integers are accepted.
+    """
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < lo or (hi is not None and value > hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise error(f"{what} must be an integer {bound}, got {value!r}")
+    return int(value)

@@ -12,8 +12,10 @@ Three evaluations that share no code with the closed form:
   (converges to the subentropy), the bases orthonormalized from complex
   Ginibre draws by batched Gram-Schmidt.
 
-Randomness comes from numpy's PCG64 generator; a fixed seed, together with
-the fixed internal chunk size, reproduces every estimate bit for bit.
+Randomness comes from numpy's PCG64 generator.  A seed is None (fresh
+entropy) or an integer >= 0, and haar_random_unitaries also takes a numpy
+Generator; a fixed seed, together with the fixed internal chunk size,
+reproduces every estimate bit for bit.
 """
 
 from dataclasses import dataclass
@@ -27,10 +29,15 @@ from .errors import (
     InvalidIndexError,
     InvalidRError,
     TooFewSamplesError,
+    _check_int,
 )
 from .spectra import as_spectrum
 
 MIN_SAMPLES = 100
+# Clearance of the contour from the origin: its leftmost point sits at this
+# factor times the smallest nonzero eigenvalue, its rightmost point at the
+# largest eigenvalue divided by it.
+CONTOUR_MARGIN = 0.5
 _CHUNK = 20000  # fixed so the random stream layout never depends on `samples`
 _TINY = np.finfo(float).tiny
 
@@ -52,24 +59,12 @@ class OracleEstimate:
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Quadrature contour parameters.
-
-    nodes is the trapezoid node count.  margin_factor in (0, 1) sets the
-    clearance from the origin: the leftmost point of the contour sits at
-    margin_factor times the smallest nonzero eigenvalue, and the rightmost
-    at the largest eigenvalue divided by margin_factor.
-    """
+    """Quadrature contour parameters: nodes is the trapezoid node count."""
 
     nodes: int = 512
-    margin_factor: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.nodes, (int, np.integer)) or self.nodes < 4:
-            raise InvalidIndexError(f"contour nodes must be an integer >= 4, got {self.nodes!r}")
-        if not 0.0 < self.margin_factor < 1.0:
-            raise InvalidIndexError(
-                f"margin_factor must lie strictly inside (0, 1), got {self.margin_factor!r}"
-            )
+        _check_int(self.nodes, 4, None, InvalidIndexError, "contour nodes")
 
 
 def _esp_coefficients(values):
@@ -95,9 +90,8 @@ def elementary_symmetric(values, r):
     v = np.atleast_1d(np.asarray(values))
     if v.ndim != 1 or v.size == 0:
         raise InvalidIndexError("values must be a nonempty vector")
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 0 <= r <= v.size:
-        raise InvalidIndexError(f"r must be an integer in [0, {v.size}], got {r!r}")
-    out = _esp_coefficients(v)[int(r)]
+    r = _check_int(r, 0, v.size, InvalidIndexError, "r")
+    out = _esp_coefficients(v)[r]
     return complex(out) if np.iscomplexobj(v) else float(out.real)
 
 
@@ -120,9 +114,8 @@ def _contour_points(values, cfg):
     nonzero = values[values > 0.0]
     if nonzero.size == 0:
         raise DegenerateContourError("all eigenvalues are zero; nothing to enclose")
-    m = cfg.margin_factor
-    w_lo = math.log(m * float(nonzero.min()))
-    w_hi = math.log(float(nonzero.max()) / m)
+    w_lo = math.log(CONTOUR_MARGIN * float(nonzero.min()))
+    w_hi = math.log(float(nonzero.max()) / CONTOUR_MARGIN)
     center = 0.5 * (w_lo + w_hi)
     half_width = 0.5 * (w_hi - w_lo)
     half_height = min(half_width, 0.9 * math.pi)
@@ -146,12 +139,11 @@ def contour_intermediate_entropy(s, r, config=None):
     """
     s = as_spectrum(s)
     n = s.dim
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 1 <= r <= n:
-        raise InvalidRError(f"order r must be an integer in [1, {n}], got {r!r}")
+    r = _check_int(r, 1, n, InvalidRError, "order r")
     cfg = config if config is not None else ContourConfig()
     z, weights = _contour_points(s.values, cfg)
     factors = z[:, None] / (z[:, None] - s.values[None, :])
-    integrand = _esp_coefficients(factors)[:, int(r)]
+    integrand = _esp_coefficients(factors)[:, r]
     value = -float(np.sum(weights * integrand).real) / math.comb(n - 1, r - 1)
     return OracleEstimate(value=value, stderr=0.0, samples=cfg.nodes, method="contour")
 
@@ -180,12 +172,11 @@ def contour_interpolated_entropy(s, alpha, config=None):
     return OracleEstimate(value=value, stderr=0.0, samples=cfg.nodes, method="contour")
 
 
-def _check_mc_args(samples, seed):
-    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < MIN_SAMPLES:
-        raise TooFewSamplesError(
-            f"need at least {MIN_SAMPLES} samples for a standard error, got {samples!r}"
-        )
-    return int(samples), None if seed is None else int(seed)
+def _rng(seed):
+    """Generator for a seed: None (fresh entropy) or an integer >= 0."""
+    if seed is not None:
+        seed = _check_int(seed, 0, None, InvalidIndexError, "seed")
+    return np.random.default_rng(seed)
 
 
 def _random_faces(rng, n, r, count):
@@ -209,11 +200,9 @@ def simplex_monte_carlo(s, r, samples, seed):
     """
     s = as_spectrum(s)
     n = s.dim
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 1 <= r <= n:
-        raise InvalidRError(f"order r must be an integer in [1, {n}], got {r!r}")
-    samples, seed = _check_mc_args(samples, seed)
-    r = int(r)
-    rng = np.random.default_rng(seed)
+    r = _check_int(r, 1, n, InvalidRError, "order r")
+    samples = _check_int(samples, MIN_SAMPLES, None, TooFewSamplesError, "samples")
+    rng = _rng(seed)
     vals = np.empty(samples)
     done = 0
     while done < samples:
@@ -241,9 +230,9 @@ def haar_random_unitaries(n, count, seed):
     Ginibre matrix's condition number; the second restores it to rounding
     level.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidIndexError(f"n must be a positive integer, got {n!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    n = _check_int(n, 1, None, InvalidIndexError, "n")
+    count = _check_int(count, 0, None, InvalidIndexError, "count")
+    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     # q[i, j, s] is row i, column j of sample s: the batch axis is innermost,
     # so every step below is an elementwise operation over the whole stack
@@ -271,8 +260,8 @@ def haar_information_samples(s, samples, seed):
     """
     s = as_spectrum(s)
     n = s.dim
-    samples, seed = _check_mc_args(samples, seed)
-    rng = np.random.default_rng(seed)
+    samples = _check_int(samples, MIN_SAMPLES, None, TooFewSamplesError, "samples")
+    rng = _rng(seed)
     lam = s.values
     out = np.empty(samples)
     done = 0

@@ -14,18 +14,18 @@ import numpy as np
 
 from .errors import (
     EmptyMatrixError,
+    InvalidIndexError,
     NoConvergenceError,
     NotHermitianError,
     NotPSDError,
     TraceNotOneError,
     ValidationError,
+    _check_int,
 )
 
 HERMITIAN_TOL = 1e-12     # absolute elementwise asymmetry
 TRACE_TOL = 1e-10
 PSD_CLAMP = -1e-10        # eigenvalues below this are a hard error
-CLUSTER_TOL = 1e-9        # relative gap for multiplicity detection
-ZERO_TOL = 1e-14          # values below this merge into one zero node
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_OFF = 1e-14    # off-diagonal Frobenius target, relative
 
@@ -46,7 +46,6 @@ class Spectrum:
     """
 
     values: np.ndarray
-    cluster_tolerance: float = CLUSTER_TOL
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -66,27 +65,10 @@ class Spectrum:
         v = np.where(v < 0.0, 0.0, v)
         v = np.sort(v / v.sum())[::-1]
         object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "cluster_tolerance", float(self.cluster_tolerance))
 
     @property
     def dim(self):
         return self.values.size
-
-
-@dataclass(frozen=True)
-class ClusteredSpectrum:
-    """Distinct eigenvalue nodes with multiplicities, descending by value."""
-
-    values: np.ndarray          # distinct node values
-    multiplicities: np.ndarray  # positive ints, same length
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values, float)))
-        object.__setattr__(self, "multiplicities", _readonly(np.asarray(self.multiplicities, int)))
-
-    @property
-    def dim(self):
-        return int(self.multiplicities.sum())
 
 
 @dataclass(frozen=True)
@@ -201,50 +183,13 @@ def validate_density_matrix(raw):
     return DensityMatrix(matrix=_readonly(m), spectrum=Spectrum(eig / eig.sum()))
 
 
-def eigenvalues(rho):
-    """Full spectrum of a density matrix, descending, clamped and unit-sum.
-
-    Accepts a DensityMatrix or a raw matrix (validated first).
-    """
-    if not isinstance(rho, DensityMatrix):
-        rho = validate_density_matrix(rho)
-    return rho.spectrum
-
-
-def cluster(s):
-    """Group a spectrum into distinct nodes with multiplicities.
-
-    Consecutive sorted values merge when their gap is below the spectrum's
-    cluster tolerance relative to the larger value; values below ZERO_TOL
-    merge into a single node of value exactly 0.  Each merged node takes the
-    multiplicity-weighted mean of its members.
-    """
-    s = as_spectrum(s)
-    tol = s.cluster_tolerance
-    nodes = []
-    run = [s.values[0]]
-    for v in s.values[1:]:
-        prev = run[-1]
-        if (prev < ZERO_TOL and v < ZERO_TOL) or (prev - v) <= tol * prev:
-            run.append(v)
-        else:
-            nodes.append(run)
-            run = [v]
-    nodes.append(run)
-    values = [0.0 if run[0] < ZERO_TOL else math.fsum(run) / len(run) for run in nodes]
-    mults = [len(run) for run in nodes]
-    return ClusteredSpectrum(values=np.array(values), multiplicities=np.array(mults))
-
-
 def pad_with_zeros(s, m):
     """Append m zero eigenvalues to a spectrum."""
     s = as_spectrum(s)
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ValidationError(f"padding count must be a nonnegative integer, got {m!r}")
+    m = _check_int(m, 0, None, InvalidIndexError, "padding count")
     if m == 0:
         return s
-    return Spectrum(np.concatenate([s.values, np.zeros(int(m))]),
-                    cluster_tolerance=s.cluster_tolerance)
+    return Spectrum(np.concatenate([s.values, np.zeros(m)]))
 
 
 def tensor_spectrum(a, b):

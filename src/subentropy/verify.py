@@ -21,26 +21,42 @@ import math
 import numpy as np
 
 from .coefficients import binomial_weights, restricted_weights
-from .entropy import (
-    _check_r,
-    _distinct_orders_batch,
-    intermediate_entropies,
-    pad_intermediate_entropies,
-    von_neumann_entropy,
-)
-from .errors import InvalidIndexError
+from .entropy import _orders_matrix, intermediate_entropies, von_neumann_entropy
+from .errors import InvalidIndexError, InvalidRError, _check_int
 from .oracles import (
     contour_intermediate_entropy,
     haar_average_information,
     simplex_monte_carlo,
 )
-from .spectra import CLUSTER_TOL, ZERO_TOL, tensor_spectrum
+from .spectra import tensor_spectrum
 
 DEGENERATE_RATE = 0.05
 DETAIL_CAP = 10
 
 CHAIN_MAX_N = 12
 ORACLE_MAX_N = 6
+
+# Verdict thresholds: a violation is the excess over these.
+CHAIN_SLACK = 1e-10         # nonincreasing chain
+CHAIN_STRICT_GAP = 1e-9     # least drop between orders away from purity ...
+CHAIN_STRICT_LEVEL = 1e-3   # ... when the two largest eigenvalues reach this
+INVARIANCE_TOL = 1e-9
+CONTROL_THRESHOLD = 1e-3    # least deviation the negative control must show
+CONCAVITY_SLACK = 1e-10
+PROBE_STEP = 1e-3           # second-difference probe step
+PROBE_SLACK = 1e-6
+CONTOUR_TOL = 1e-8
+ADDITIVITY_TOL = 1e-9
+ENTROPY_ADDITIVITY_TOL = 1e-10
+
+# Coefficient-recursion cases: binomial rows up to RECURSION_MAX_N at each
+# alpha, and restricted families (N, r_hat).
+RECURSION_MAX_N = 12
+RECURSION_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+RESTRICTED_CASES = ((6, 3), (12, 1), (12, 5), (12, 12))
+
+ALPHA_GRID = np.round(np.arange(0.0, 1.05, 0.1), 12)  # interpolant grid of the suites
+M_MAX = 2  # zeros appended by the invariance suite in run_suites
 
 
 @dataclass(frozen=True)
@@ -88,12 +104,6 @@ class _Collector:
         )
 
 
-def _check_n(n, lo, hi, what):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not lo <= n <= hi:
-        raise InvalidIndexError(f"{what} requires {lo} <= n <= {hi}, got {n!r}")
-    return int(n)
-
-
 def _sample_spectra(rng, trials, n, degenerate_rate=DEGENERATE_RATE):
     """(trials, n) flat-Dirichlet spectra, rows descending, 5% near-degenerate."""
     e = rng.standard_exponential((trials, n))
@@ -112,43 +122,14 @@ def _sample_spectra(rng, trials, n, degenerate_rate=DEGENERATE_RATE):
     return lam
 
 
-def _orders_matrix(lams):
-    """Order-value rows for a (B, n) stack of spectra.
-
-    Trailing zeros (values below ZERO_TOL) are split off first.  Rows whose
-    positive part has every relative gap above the cluster tolerance ride
-    the vectorized distinct-eigenvalue path on that part, and a pad matrix
-    (the padding identity applied to unit vectors) maps the orders back to
-    dimension n; the rest go through the exact confluent path individually.
-    """
-    lams = np.sort(np.asarray(lams, float), axis=1)[:, ::-1]
-    b, n = lams.shape
-    rank = np.count_nonzero(lams >= ZERO_TOL, axis=1)
-    rel_gap = (lams[:, :-1] - lams[:, 1:]) / np.maximum(lams[:, :-1], 1e-300)
-    # gap g separates entries g and g + 1 and counts only if both are positive
-    separated = (rel_gap > CLUSTER_TOL) | (np.arange(1, n) >= rank[:, None])
-    clean = separated.all(axis=1) & (rank > 0)
-    out = np.empty((b, n))
-    for k in np.unique(rank[clean]):
-        rows = clean & (rank == k)
-        orders = _distinct_orders_batch(lams[rows, :k])
-        if k < n:
-            orders = orders @ np.array([pad_intermediate_entropies(e, n - k) for e in np.eye(k)])
-        out[rows] = orders
-    for i in np.nonzero(~clean)[0]:
-        out[i] = intermediate_entropies(lams[i])
-    return out
-
-
-def check_inequality_chain(n, trials, seed, slack=1e-10, strict_gap=1e-9,
-                           strict_level=1e-3):
+def check_inequality_chain(n, trials, seed):
     """Order values must be nonincreasing in r, strictly so away from purity.
 
-    The nonincreasing chain is asserted with `slack`; whenever the two
-    largest eigenvalues are both >= strict_level, every consecutive
-    difference must additionally exceed strict_gap.
+    The nonincreasing chain is asserted with CHAIN_SLACK; whenever the two
+    largest eigenvalues are both >= CHAIN_STRICT_LEVEL, every consecutive
+    difference must additionally exceed CHAIN_STRICT_GAP.
     """
-    n = _check_n(n, 2, CHAIN_MAX_N, "inequality-chain suite")
+    n = _check_int(n, 2, CHAIN_MAX_N, InvalidIndexError, "n for the inequality-chain suite")
     rng = np.random.default_rng(seed)
     lam = _sample_spectra(rng, trials, n)
     orders = _orders_matrix(lam)
@@ -158,20 +139,20 @@ def check_inequality_chain(n, trials, seed, slack=1e-10, strict_gap=1e-9,
         col.trial()
         spectrum = lam[i]
         col.record(
-            float(diffs[i].max()) - slack,
+            float(diffs[i].max()) - CHAIN_SLACK,
             lambda i=i, s=spectrum: {"spectrum": s.tolist(), "kind": "nonincreasing"},
         )
-        if spectrum[1] >= strict_level:
+        if spectrum[1] >= CHAIN_STRICT_LEVEL:
             col.record(
-                strict_gap - float((-diffs[i]).min()),
+                CHAIN_STRICT_GAP - float((-diffs[i]).min()),
                 lambda i=i, s=spectrum: {"spectrum": s.tolist(), "kind": "strictness"},
             )
     return col.verdict()
 
 
-def check_invariance(n, m_max, alpha_grid, trials, seed, tol=1e-9):
+def check_invariance(n, m_max, alpha_grid, trials, seed):
     """Interpolated entropy must not change when zero eigenvalues are appended."""
-    n = _check_n(n, 2, 24, "invariance suite")
+    n = _check_int(n, 2, 24, InvalidIndexError, "n for the invariance suite")
     rng = np.random.default_rng(seed)
     grid = [float(a) for a in alpha_grid]
     lam = _sample_spectra(rng, trials, n)
@@ -188,7 +169,7 @@ def check_invariance(n, m_max, alpha_grid, trials, seed, tol=1e-9):
             vals = w_pad[m] @ intermediate_entropies(padded)
             dev = np.abs(vals - base_vals[i])
             col.record(
-                float(dev.max()) - tol,
+                float(dev.max()) - INVARIANCE_TOL,
                 lambda i=i, m=m, d=dev: {
                     "spectrum": lam[i].tolist(), "m": m,
                     "alpha": grid[int(np.argmax(d))],
@@ -197,13 +178,14 @@ def check_invariance(n, m_max, alpha_grid, trials, seed, tol=1e-9):
     return col.verdict()
 
 
-def check_invariance_control(trials, seed, threshold=1e-3):
+def check_invariance_control(trials, seed):
     """Negative control: bare order-2 weights are NOT augmentation invariant.
 
     Uses the weight row that picks out order 2 alone (n = 3, one appended
     zero).  A correct implementation makes this verdict FAIL - the order-2
     value genuinely moves under padding - so the caller must assert
-    passed == False.  Violation amounts are deviations beyond `threshold`.
+    passed == False.  Violation amounts are deviations beyond
+    CONTROL_THRESHOLD.
     """
     rng = np.random.default_rng(seed)
     lam = _sample_spectra(rng, trials, 3, degenerate_rate=0.0)
@@ -214,14 +196,21 @@ def check_invariance_control(trials, seed, threshold=1e-3):
         padded = np.concatenate([lam[i], np.zeros(1)])
         dev = abs(float(intermediate_entropies(padded)[1]) - float(orders[i, 1]))
         col.record(
-            dev - threshold,
+            dev - CONTROL_THRESHOLD,
             lambda i=i, d=dev: {"spectrum": lam[i].tolist(), "deviation": d},
         )
     return col.verdict()
 
 
-def check_coefficient_recursion(max_n=12, alphas=(0.0, 0.25, 0.5, 0.75, 1.0),
-                                restricted_cases=((6, 3), (12, 1), (12, 5), (12, 12))):
+def _recursion_residual(b, b_next, n):
+    """Largest |(n-r+1) b_next[r] + r b_next[r+1] - n b[r]| over r = 1..n (1-based)."""
+    return max(
+        abs((n - r + 1) * b_next[r - 1] + r * b_next[r] - n * b[r - 1])
+        for r in range(1, n + 1)
+    )
+
+
+def check_coefficient_recursion():
     """Weight rows must satisfy the consecutive-dimension recursion.
 
     (n-r+1) b[n+1][r] + r b[n+1][r+1] = n b[n][r], plus nonnegativity and
@@ -229,28 +218,22 @@ def check_coefficient_recursion(max_n=12, alphas=(0.0, 0.25, 0.5, 0.75, 1.0),
     restricted family, whose n = N row must also be the r_hat indicator.
     """
     col = _Collector("coefficient-recursion")
-    for alpha in alphas:
-        rows = [binomial_weights(k, alpha) for k in range(1, max_n + 2)]
-        for n in range(1, max_n + 1):
+    for alpha in RECURSION_ALPHAS:
+        rows = [binomial_weights(k, alpha) for k in range(1, RECURSION_MAX_N + 2)]
+        for n in range(1, RECURSION_MAX_N + 1):
             col.trial()
-            b, b_next = rows[n - 1], rows[n]
-            res = max(
-                abs((n - r + 1) * b_next[r - 1] + r * b_next[r] - n * b[r - 1])
-                for r in range(1, n + 1)
-            )
+            b = rows[n - 1]
+            res = _recursion_residual(b, rows[n], n)
             detail = {"kind": "binomial", "alpha": alpha, "n": n}
             col.record(res - 1e-12, dict(detail, check="recursion"))
             col.record(-float(b.min()), dict(detail, check="nonnegative"))
             col.record(abs(float(b.sum()) - 1.0) - 1e-12, dict(detail, check="row-sum"))
-    for N, r_hat in restricted_cases:
+    for N, r_hat in RESTRICTED_CASES:
         rows = [restricted_weights(N, r_hat, k) for k in range(1, N + 1)]
         for n in range(1, N):
             col.trial()
-            b, b_next = rows[n - 1], rows[n]
-            res = max(
-                abs((n - r + 1) * b_next[r - 1] + r * b_next[r] - n * b[r - 1])
-                for r in range(1, n + 1)
-            )
+            b = rows[n - 1]
+            res = _recursion_residual(b, rows[n], n)
             detail = {"kind": "restricted", "N": N, "r_hat": r_hat, "n": n}
             col.record(float(res), dict(detail, check="recursion-exact"))
             col.record(float(-min(b)), dict(detail, check="nonnegative"))
@@ -263,17 +246,16 @@ def check_coefficient_recursion(max_n=12, alphas=(0.0, 0.25, 0.5, 0.75, 1.0),
     return col.verdict()
 
 
-def check_concavity(n, r, trials, seed, slack=1e-10, probe_step=1e-3,
-                    probe_slack=1e-6):
+def check_concavity(n, r, trials, seed):
     """Order-r value must be concave on the simplex.
 
     Random-pair mixing tests t*f(s1) + (1-t)*f(s2) <= f(t*s1 + (1-t)*s2)
-    with `slack`, plus a second-difference probe along random zero-sum
-    directions with step `probe_step`, requiring the discrete second
-    difference to stay below `probe_slack`.
+    with CONCAVITY_SLACK, plus a second-difference probe along random
+    zero-sum directions with step PROBE_STEP, requiring the discrete second
+    difference to stay below PROBE_SLACK.
     """
-    n = _check_n(n, 2, 24, "concavity suite")
-    _check_r(r, n)
+    n = _check_int(n, 2, 24, InvalidIndexError, "n for the concavity suite")
+    r = _check_int(r, 1, n, InvalidRError, "order r")
     rng = np.random.default_rng(seed)
     s1 = _sample_spectra(rng, trials, n)
     s2 = _sample_spectra(rng, trials, n)
@@ -286,7 +268,7 @@ def check_concavity(n, r, trials, seed, slack=1e-10, probe_step=1e-3,
     for i in range(trials):
         col.trial()
         col.record(
-            t[i] * f1[i] + (1.0 - t[i]) * f2[i] - fm[i] - slack,
+            t[i] * f1[i] + (1.0 - t[i]) * f2[i] - fm[i] - CONCAVITY_SLACK,
             lambda i=i: {"kind": "midpoint", "s1": s1[i].tolist(),
                          "s2": s2[i].tolist(), "t": float(t[i])},
         )
@@ -295,15 +277,15 @@ def check_concavity(n, r, trials, seed, slack=1e-10, probe_step=1e-3,
     direction = rng.standard_normal((trials, n))
     direction -= direction.mean(axis=1, keepdims=True)
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    ok = base.min(axis=1) > probe_step * np.abs(direction).max(axis=1)
+    ok = base.min(axis=1) > PROBE_STEP * np.abs(direction).max(axis=1)
     base, direction = base[ok], direction[ok]
     f0 = _orders_matrix(base)[:, r - 1]
-    fp = _orders_matrix(base + probe_step * direction)[:, r - 1]
-    fn = _orders_matrix(base - probe_step * direction)[:, r - 1]
+    fp = _orders_matrix(base + PROBE_STEP * direction)[:, r - 1]
+    fn = _orders_matrix(base - PROBE_STEP * direction)[:, r - 1]
     for i in range(base.shape[0]):
         col.trial()
         col.record(
-            (fp[i] - 2.0 * f0[i] + fn[i]) - probe_slack,
+            (fp[i] - 2.0 * f0[i] + fn[i]) - PROBE_SLACK,
             lambda i=i: {"kind": "second-difference", "spectrum": base[i].tolist()},
         )
     return col.verdict()
@@ -324,15 +306,15 @@ def _majority_z_amount(values, stderrs, reference, bound=3.0):
     return zs[len(zs) // 2] - bound
 
 
-def check_oracle_agreement(n, trials, mc_samples, seed, contour_tol=1e-8):
+def check_oracle_agreement(n, trials, mc_samples, seed):
     """Closed form, contour, simplex MC, and Haar MC must agree.
 
-    Per spectrum: |contour - closed form| < contour_tol for every order;
+    Per spectrum: |contour - closed form| < CONTOUR_TOL for every order;
     simplex MC agrees with the closed form and Haar MC with the subentropy
     within 3 standard errors by majority of 3 independently seeded runs.
     One spectrum with a repeated eigenvalue and a zero is always included.
     """
-    n = _check_n(n, 2, ORACLE_MAX_N, "oracle-agreement suite")
+    n = _check_int(n, 2, ORACLE_MAX_N, InvalidIndexError, "n for the oracle-agreement suite")
     rng = np.random.default_rng(seed)
     lam = _sample_spectra(rng, trials, n)
     lam[0, :-1] = 1.0 / (n - 1)
@@ -345,7 +327,7 @@ def check_oracle_agreement(n, trials, mc_samples, seed, contour_tol=1e-8):
         for r in range(1, n + 1):
             est = contour_intermediate_entropy(spectrum, r)
             col.record(
-                abs(est.value - orders[i, r - 1]) - contour_tol,
+                abs(est.value - orders[i, r - 1]) - CONTOUR_TOL,
                 lambda i=i, r=r: {"kind": "contour", "spectrum": lam[i].tolist(), "r": r},
             )
         for r in range(1, n + 1):
@@ -370,7 +352,7 @@ def check_oracle_agreement(n, trials, mc_samples, seed, contour_tol=1e-8):
     return col.verdict()
 
 
-def check_pure_additivity(trials, seed, tol=1e-9, entropy_tol=1e-10):
+def check_pure_additivity(trials, seed):
     """Tensoring with a pure state must leave the interpolant unchanged.
 
     Also asserts entropy additivity (the alpha = 0 case) for mixed (x) mixed
@@ -379,7 +361,7 @@ def check_pure_additivity(trials, seed, tol=1e-9, entropy_tol=1e-10):
     mixed pair.
     """
     rng = np.random.default_rng(seed)
-    grid = np.round(np.arange(0.0, 1.0001, 0.1), 12)
+    grid = ALPHA_GRID
     col = _Collector("pure-additivity")
     demo = None
     for i in range(trials):
@@ -399,7 +381,7 @@ def check_pure_additivity(trials, seed, tol=1e-9, entropy_tol=1e-10):
         ) @ intermediate_entropies(prod)
         dev = np.abs(lifted - base)
         col.record(
-            float(dev.max()) - tol,
+            float(dev.max()) - ADDITIVITY_TOL,
             lambda s=s1, k=k, d=dev: {"kind": "pure-factor", "spectrum": s.tolist(),
                                       "pure_dim": k, "alpha": float(grid[int(np.argmax(d))])},
         )
@@ -408,7 +390,7 @@ def check_pure_additivity(trials, seed, tol=1e-9, entropy_tol=1e-10):
         prod2 = tensor_spectrum(s1, s2)
         gap = abs(von_neumann_entropy(prod2) - von_neumann_entropy(s1) - von_neumann_entropy(s2))
         col.record(
-            gap - entropy_tol,
+            gap - ENTROPY_ADDITIVITY_TOL,
             lambda a=s1, b=s2: {"kind": "entropy-additivity", "s1": a.tolist(), "s2": b.tolist()},
         )
         if demo is None:
@@ -429,8 +411,7 @@ def check_pure_additivity(trials, seed, tol=1e-9, entropy_tol=1e-10):
 SUITE_NAMES = ("chain", "invariance", "coefficients", "concavity", "oracles", "additivity")
 
 
-def run_suites(suites=None, n=4, trials=100, mc_samples=20000, seed=0,
-               alpha_step=0.1, m_max=2):
+def run_suites(suites=None, n=4, trials=100, mc_samples=20000, seed=0):
     """Run named suites (default all) and aggregate an overall outcome.
 
     Returns (results, overall_passed) where results is a list of dicts
@@ -446,11 +427,13 @@ def run_suites(suites=None, n=4, trials=100, mc_samples=20000, seed=0,
         unknown = set(names) - set(SUITE_NAMES)
         if unknown:
             raise InvalidIndexError(f"unknown suite(s): {sorted(unknown)}")
-    n = _check_n(n, 2, 24, "verification runner")
+    n = _check_int(n, 2, 24, InvalidIndexError, "n for the verification runner")
+    trials = _check_int(trials, 1, None, InvalidIndexError, "trials")
+    if seed is not None:
+        seed = _check_int(seed, 0, None, InvalidIndexError, "seed")
     stage_seeds = iter(
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(32)
     )
-    alpha_grid = np.round(np.arange(0.0, 1.0 + alpha_step / 2.0, alpha_step), 12).tolist()
     results = []
 
     def add(verdict, expect_failure=False, demo=None):
@@ -460,7 +443,7 @@ def run_suites(suites=None, n=4, trials=100, mc_samples=20000, seed=0,
         if name == "chain":
             add(check_inequality_chain(min(n, CHAIN_MAX_N), trials, next(stage_seeds)))
         elif name == "invariance":
-            add(check_invariance(n, m_max, alpha_grid, trials, next(stage_seeds)))
+            add(check_invariance(n, M_MAX, ALPHA_GRID, trials, next(stage_seeds)))
             add(check_invariance_control(trials, next(stage_seeds)), expect_failure=True)
         elif name == "coefficients":
             add(check_coefficient_recursion())

@@ -30,7 +30,7 @@ from subentropy import (
     tensor_spectrum,
     von_neumann_entropy,
 )
-from subentropy.verify import _orders_matrix
+from subentropy.entropy import _orders_matrix
 
 
 def _report(k, dt, desc):

@@ -259,6 +259,22 @@ class TestExitCodes:
     def test_usage_error_invalid_order(self, spectrum_file):
         assert main(["oracle", "contour", "--input", spectrum_file, "--r", "7"]) == 5
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "simplex", "--seed", "-1"],
+        ["oracle", "haar", "--seed", "-1"],
+        ["check", "--trials", "0"],
+        ["check", "--trials", "-2"],
+        ["check", "--suite", "chain", "--seed", "-1"],
+    ])
+    def test_usage_error_bad_seed_or_trials(self, spectrum_file, capsys, argv):
+        if argv[0] == "oracle":
+            argv = argv + ["--input", spectrum_file, "--samples", "1000"]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from subentropy import (
     AlphaOutOfRangeError,
     InvalidIndexError,
-    binomial_table,
     binomial_weights,
-    restricted_table,
     restricted_weights,
 )
 
@@ -112,16 +110,3 @@ class TestRestrictedWeights:
         with pytest.raises(InvalidIndexError):
             restricted_weights(0, 1, 1)
 
-
-class TestTables:
-    def test_binomial_table_shape(self):
-        t = binomial_table(5, 0.3)
-        assert t.kind == "binomial"
-        assert len(t.rows) == 5
-        assert [len(r) for r in t.rows] == [1, 2, 3, 4, 5]
-
-    def test_restricted_table_shape(self):
-        t = restricted_table(6, 3)
-        assert t.kind == "restricted"
-        assert len(t.rows) == 6
-        assert t.rows[-1][2] == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -61,16 +62,16 @@ class TestContourConfig:
     def test_defaults(self):
         cfg = ContourConfig()
         assert cfg.nodes == 512
-        assert cfg.margin_factor == 0.5
+        assert [f.name for f in dataclasses.fields(cfg)] == ["nodes"]
 
     def test_validation(self):
         with pytest.raises(InvalidIndexError):
             ContourConfig(nodes=2)
         with pytest.raises(InvalidIndexError):
             ContourConfig(nodes=64.5)
-        for m in (0.0, 1.0, -0.2):
-            with pytest.raises(InvalidIndexError):
-                ContourConfig(margin_factor=m)
+        with pytest.raises(InvalidIndexError):
+            ContourConfig(nodes=True)
+        assert ContourConfig(nodes=np.int64(64)).nodes == 64
 
 
 class TestContourOrders:
@@ -208,6 +209,15 @@ class TestSimplexMonteCarlo:
         with pytest.raises(InvalidRError):
             simplex_monte_carlo(GENERIC4, 9, 1000, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "x", np.random.default_rng(0)])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(InvalidIndexError):
+            simplex_monte_carlo(GENERIC4, 2, 1000, seed)
+
+    def test_numpy_integer_seed_same_stream(self):
+        a = simplex_monte_carlo(GENERIC4, 2, 1000, np.int64(5))
+        assert a == simplex_monte_carlo(GENERIC4, 2, 1000, 5)
+
 
 class TestHaarOracle:
     def test_unitaries_are_unitary(self):
@@ -271,3 +281,19 @@ class TestHaarOracle:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
             haar_average_information(GENERIC4, 10, 1)
+
+    @pytest.mark.parametrize("seed", [-5, "x", 1.0])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(InvalidIndexError):
+            haar_average_information(GENERIC4, 1000, seed)
+
+    @pytest.mark.parametrize("count, seed", [(-1, 0), (2.5, 0), (True, 0), (3, -1)])
+    def test_unitaries_invalid_count_or_seed(self, count, seed):
+        with pytest.raises(InvalidIndexError):
+            haar_random_unitaries(3, count, seed)
+
+    def test_unitaries_accept_generator_and_zero_count(self):
+        rng = np.random.default_rng(4)
+        assert haar_random_unitaries(3, 0, rng).shape == (0, 3, 3)
+        a = haar_random_unitaries(3, 2, np.random.default_rng(4))
+        assert np.array_equal(a, haar_random_unitaries(3, 2, 4))

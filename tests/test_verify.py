@@ -15,8 +15,9 @@ from subentropy import (
     check_pure_additivity,
     run_suites,
 )
-from subentropy.verify import _orders_matrix, _sample_spectra
 from subentropy import intermediate_entropies
+from subentropy.entropy import _orders_matrix, cluster
+from subentropy.verify import _sample_spectra
 
 
 class TestSampling:
@@ -72,6 +73,19 @@ class TestOrdersMatrix:
         out = _orders_matrix(lam)
         want = intermediate_entropies([0.4, 0.3, 0.2, 0.1])
         assert np.allclose(out[0], want, atol=1e-13)
+
+    def test_clustered_rows_take_the_per_row_engine(self):
+        # an exact pair and a near pair (relative gap 1e-10, below the
+        # cluster tolerance), batched with separated rows, must come out
+        # exactly as intermediate_entropies gives them
+        exact = np.array([0.4, 0.25, 0.25, 0.1])
+        near = np.array([0.35, 0.3, 0.3 * (1 - 1e-10), 0.05])
+        near /= near.sum()
+        lam = np.array([[0.4, 0.3, 0.2, 0.1], exact, near, [0.5, 0.3, 0.15, 0.05]])
+        out = _orders_matrix(lam)
+        for row in (1, 2):
+            assert cluster(lam[row])[1].max() == 2
+            assert np.array_equal(out[row], intermediate_entropies(lam[row]))
 
 
 class TestIndividualSuites:
@@ -164,6 +178,12 @@ class TestRunner:
     def test_unknown_suite_rejected(self):
         with pytest.raises(InvalidIndexError):
             run_suites(suites=("bogus",))
+
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1}, {"trials": 2.0},
+                                        {"seed": -1}, {"seed": "x"}])
+    def test_bad_trials_or_seed_rejected(self, kwargs):
+        with pytest.raises(InvalidIndexError):
+            run_suites(suites=("chain",), **kwargs)
 
     def test_deterministic(self):
         a = run_suites(suites=("chain", "concavity"), n=3, trials=25, seed=6)
