@@ -2,14 +2,14 @@
 
 The library works in nats throughout.  Spectra are validated probability
 vectors sorted in descending order; density matrices are diagonalized with
-a self-contained Jacobi routine.  Closed forms are cross-checkable against
-three independent oracles (contour quadrature, simplex Monte Carlo, Haar
-averaging) and a set of executable property suites.
+a self-contained Jacobi routine.  One engine evaluates every order at any
+dimension; its values are cross-checkable against three independent oracles
+(contour quadrature, simplex Monte Carlo, Haar averaging) and a set of
+executable property suites.
 """
 
 from .coefficients import binomial_weights, restricted_weights
 from .entropy import (
-    CLOSED_FORM_DIM_CAP,
     EntropyReport,
     divided_difference,
     entropy_report,
@@ -23,7 +23,6 @@ from .entropy import (
 )
 from .errors import (
     AlphaOutOfRangeError,
-    CapExceededError,
     DegenerateContourError,
     EmptyMatrixError,
     InvalidIndexError,
@@ -71,8 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaOutOfRangeError",
-    "CLOSED_FORM_DIM_CAP",
-    "CapExceededError",
     "ContourConfig",
     "DegenerateContourError",
     "DensityMatrix",

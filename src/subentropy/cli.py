@@ -9,8 +9,8 @@ Subcommands:
 Input states are JSON: {"kind": "spectrum", "values": [...]} or
 {"kind": "density_matrix", "re": [[...]], "im": [[...]]} ("im" optional).
 Exit codes: 0 success, 1 property-suite failure, 2 unreadable/unparsable
-input, 3 state validation failure, 4 dimension cap exceeded, 5 usage error
-(a bad option value, seed or trial count included).
+input, 3 state validation failure, 5 usage error (a bad option value, seed,
+trial count or contour node count included).
 """
 
 import argparse
@@ -24,7 +24,6 @@ import numpy as np
 
 from .coefficients import binomial_weights
 from .entropy import (
-    CLOSED_FORM_DIM_CAP,
     _orders_matrix,
     entropy_report,
     interpolated_entropy,
@@ -33,7 +32,6 @@ from .entropy import (
 )
 from .errors import (
     AlphaOutOfRangeError,
-    CapExceededError,
     DegenerateContourError,
     InvalidIndexError,
     InvalidRError,
@@ -207,7 +205,7 @@ def _cmd_oracle(args):
     elif args.method != "haar":
         payload["r"] = r
     if args.method == "contour":
-        cfg = ContourConfig(nodes=args.nodes) if args.nodes else ContourConfig()
+        cfg = ContourConfig() if args.nodes is None else ContourConfig(nodes=args.nodes)
         if args.alpha is None:
             est = contour_intermediate_entropy(s, r, cfg)
         elif args.alpha == 0.0:
@@ -220,17 +218,16 @@ def _cmd_oracle(args):
     else:
         est = haar_average_information(s, args.samples, seed)
     payload.update(value=est.value, stderr=est.stderr, samples=est.samples)
-    if s.dim <= CLOSED_FORM_DIM_CAP:
-        if args.method == "haar":
-            closed = subentropy(s)
-        elif args.alpha is not None:
-            closed = interpolated_entropy(s, args.alpha)
-        else:
-            closed = intermediate_entropy(s, r)
-        payload["closed_form"] = closed
-        payload["abs_error"] = abs(est.value - closed)
-        if est.stderr > 0.0:
-            payload["z_score"] = (est.value - closed) / est.stderr
+    if args.method == "haar":
+        closed = subentropy(s)
+    elif args.alpha is not None:
+        closed = interpolated_entropy(s, args.alpha)
+    else:
+        closed = intermediate_entropy(s, r)
+    payload["closed_form"] = closed
+    payload["abs_error"] = abs(est.value - closed)
+    if est.stderr > 0.0:
+        payload["z_score"] = (est.value - closed) / est.stderr
     if drew_seed:
         sys.stderr.write(f"seed drawn: {payload['seed']}\n")
     _write_text(args.output, _dump_json(payload) + "\n")
@@ -378,9 +375,6 @@ def main(argv=None):
     except (ValidationError, NoConvergenceError, DegenerateContourError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 3
-    except CapExceededError as exc:
-        sys.stderr.write(f"cap exceeded: {exc}\n")
-        return 4
     except (InvalidRError, InvalidIndexError, AlphaOutOfRangeError,
             TooFewSamplesError, _UsageError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")

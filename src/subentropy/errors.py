@@ -44,10 +44,6 @@ class AlphaOutOfRangeError(SubentropyError):
     """Interpolation parameter outside [0, 1]."""
 
 
-class CapExceededError(SubentropyError):
-    """Closed-form evaluation requested beyond the supported dimension cap."""
-
-
 class DegenerateContourError(SubentropyError):
     """Spectrum leaves no room to place an enclosing contour."""
 

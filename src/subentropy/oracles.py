@@ -1,6 +1,6 @@
 """Independent numerical routes to the entropy family.
 
-Three evaluations that share no code with the closed form:
+Three evaluations that share no code with the engine in entropy.py:
 
 * contour quadrature of the defining integral (deterministic, exponentially
   convergent in node count; at the default 512 nodes within about 1e-12 of
@@ -134,7 +134,7 @@ def contour_intermediate_entropy(s, r, config=None):
     The integrand is the r-th characteristic-polynomial coefficient of the
     resolvent factor, i.e. e_r of the eigenvalue factors z/(z - l_j).  Zero
     eigenvalues enter as factors exactly 1 (z/(z - 0)); they still count
-    toward the order, so the result matches the closed form including its
+    toward the order, so the result matches the engine including its
     dependence on padded dimensions.
     """
     s = as_spectrum(s)

@@ -2,10 +2,13 @@
 
 Each suite samples spectra uniformly from the probability simplex (flat
 Dirichlet via normalized exponentials) and deliberately replaces one trial
-in twenty with a near-degenerate spectrum - alternating exact repeats and
-relative gaps of about 1e-7 - so the confluent closed-form path is always
-exercised.  Suites are deterministic for a fixed seed (PCG64, fixed
-sampling order, per-stage seeds derived from the master seed).
+in twenty with a degenerate or near-degenerate spectrum - cycling through an
+exact pair, a near pair at relative gap 1e-7 and a near triple (an exact
+pair plus a value 5e-8 below) - so clustered spectra, on which closed forms
+lose digits, are always exercised.  Suites are deterministic for a fixed
+seed (PCG64, fixed sampling order, per-stage seeds derived from the master
+seed).  Every suite validates its trial count (>= 1) and seed (None or an
+integer >= 0) and raises InvalidIndexError otherwise.
 
 Verdict semantics: every asserted inequality is reduced to a signed
 violation amount (positive = failed); worst_violation is the largest
@@ -104,8 +107,20 @@ class _Collector:
         )
 
 
+def _check_trials_seed(trials, seed):
+    """trials as an int >= 1 and seed as None or an int >= 0, else InvalidIndexError."""
+    trials = _check_int(trials, 1, None, InvalidIndexError, "trials")
+    if seed is not None:
+        seed = _check_int(seed, 0, None, InvalidIndexError, "seed")
+    return trials, seed
+
+
 def _sample_spectra(rng, trials, n, degenerate_rate=DEGENERATE_RATE):
-    """(trials, n) flat-Dirichlet spectra, rows descending, 5% near-degenerate."""
+    """(trials, n) flat-Dirichlet spectra, rows descending, 5% degenerate.
+
+    Injected rows cycle through an exact pair, a near pair and a near
+    triple; at n = 2 the triple falls back to a near pair.
+    """
     e = rng.standard_exponential((trials, n))
     lam = np.sort(e / e.sum(axis=1, keepdims=True), axis=1)[:, ::-1].copy()
     if n >= 2 and degenerate_rate > 0.0:
@@ -113,11 +128,17 @@ def _sample_spectra(rng, trials, n, degenerate_rate=DEGENERATE_RATE):
         for count, i in enumerate(range(step - 1, trials, step)):
             j = int(rng.integers(0, n - 1))
             v = 0.5 * (lam[i, j] + lam[i, j + 1])
-            if count % 2 == 0:
+            kind = min(count % 3, n - 1)  # n = 2 has no room for a triple
+            if kind == 0:
                 lam[i, j] = lam[i, j + 1] = v
-            else:
+            elif kind == 1:
                 lam[i, j] = v * (1.0 + 5e-8)
                 lam[i, j + 1] = v * (1.0 - 5e-8)
+            else:
+                j = min(j, n - 3)
+                v = lam[i, j:j + 3].mean()
+                lam[i, j:j + 2] = v
+                lam[i, j + 2] = v * (1.0 - 5e-8)
             lam[i] = np.sort(lam[i] / lam[i].sum())[::-1]
     return lam
 
@@ -130,6 +151,7 @@ def check_inequality_chain(n, trials, seed):
     difference must additionally exceed CHAIN_STRICT_GAP.
     """
     n = _check_int(n, 2, CHAIN_MAX_N, InvalidIndexError, "n for the inequality-chain suite")
+    trials, seed = _check_trials_seed(trials, seed)
     rng = np.random.default_rng(seed)
     lam = _sample_spectra(rng, trials, n)
     orders = _orders_matrix(lam)
@@ -153,6 +175,7 @@ def check_inequality_chain(n, trials, seed):
 def check_invariance(n, m_max, alpha_grid, trials, seed):
     """Interpolated entropy must not change when zero eigenvalues are appended."""
     n = _check_int(n, 2, 24, InvalidIndexError, "n for the invariance suite")
+    trials, seed = _check_trials_seed(trials, seed)
     rng = np.random.default_rng(seed)
     grid = [float(a) for a in alpha_grid]
     lam = _sample_spectra(rng, trials, n)
@@ -187,6 +210,7 @@ def check_invariance_control(trials, seed):
     passed == False.  Violation amounts are deviations beyond
     CONTROL_THRESHOLD.
     """
+    trials, seed = _check_trials_seed(trials, seed)
     rng = np.random.default_rng(seed)
     lam = _sample_spectra(rng, trials, 3, degenerate_rate=0.0)
     orders = _orders_matrix(lam)
@@ -256,6 +280,7 @@ def check_concavity(n, r, trials, seed):
     """
     n = _check_int(n, 2, 24, InvalidIndexError, "n for the concavity suite")
     r = _check_int(r, 1, n, InvalidRError, "order r")
+    trials, seed = _check_trials_seed(trials, seed)
     rng = np.random.default_rng(seed)
     s1 = _sample_spectra(rng, trials, n)
     s2 = _sample_spectra(rng, trials, n)
@@ -307,14 +332,15 @@ def _majority_z_amount(values, stderrs, reference, bound=3.0):
 
 
 def check_oracle_agreement(n, trials, mc_samples, seed):
-    """Closed form, contour, simplex MC, and Haar MC must agree.
+    """Engine, contour, simplex MC, and Haar MC must agree.
 
-    Per spectrum: |contour - closed form| < CONTOUR_TOL for every order;
-    simplex MC agrees with the closed form and Haar MC with the subentropy
+    Per spectrum: |contour - engine| < CONTOUR_TOL for every order;
+    simplex MC agrees with the engine and Haar MC with the subentropy
     within 3 standard errors by majority of 3 independently seeded runs.
     One spectrum with a repeated eigenvalue and a zero is always included.
     """
     n = _check_int(n, 2, ORACLE_MAX_N, InvalidIndexError, "n for the oracle-agreement suite")
+    trials, seed = _check_trials_seed(trials, seed)
     rng = np.random.default_rng(seed)
     lam = _sample_spectra(rng, trials, n)
     lam[0, :-1] = 1.0 / (n - 1)
@@ -360,6 +386,7 @@ def check_pure_additivity(trials, seed):
     not an assertion - that the subentropy is NOT additive for a generic
     mixed pair.
     """
+    trials, seed = _check_trials_seed(trials, seed)
     rng = np.random.default_rng(seed)
     grid = ALPHA_GRID
     col = _Collector("pure-additivity")
@@ -367,7 +394,7 @@ def check_pure_additivity(trials, seed):
     for i in range(trials):
         n1 = int(rng.integers(2, 5))
         s1 = _sample_spectra(rng, 1, n1, degenerate_rate=0.0)[0]
-        if i % 20 == 19:  # keep the confluent path in the loop
+        if i % 20 == 19:  # keep an exact pair in the loop
             s1[:2] = s1[:2].mean()
             s1 = np.sort(s1 / s1.sum())[::-1]
         k = int(rng.integers(1, 4))
@@ -428,9 +455,7 @@ def run_suites(suites=None, n=4, trials=100, mc_samples=20000, seed=0):
         if unknown:
             raise InvalidIndexError(f"unknown suite(s): {sorted(unknown)}")
     n = _check_int(n, 2, 24, InvalidIndexError, "n for the verification runner")
-    trials = _check_int(trials, 1, None, InvalidIndexError, "trials")
-    if seed is not None:
-        seed = _check_int(seed, 0, None, InvalidIndexError, "seed")
+    trials, seed = _check_trials_seed(trials, seed)
     stage_seeds = iter(
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(32)
     )

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive - pure-Python subset enumeration,
 product-form divided differences, Richardson extrapolation of split
-spectra - so that agreement with the library is meaningful.
+spectra, an mpmath evaluation at high precision - so that agreement with
+the library is meaningful.
 """
 
+from collections import Counter
 import itertools
 import math
 
@@ -103,3 +105,38 @@ def shannon(p):
     p = np.asarray(p, dtype=float)
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
+
+
+SPLIT_DIGITS = 40
+
+
+def mp_orders(values):
+    """All order values r = 1..n of a spectrum in mpmath, rounded to floats.
+
+    Uses value(r) = -1/C(n-1, r-1) * sum_j (l_j ln l_j) e_{r-1}(y_j) with
+    y_j[k] = l_j / (l_j - l_k).  The identity needs distinct nodes, so exact
+    repeats of a nonzero value are split by a relative 10**-SPLIT_DIGITS;
+    each extra member of a cluster costs SPLIT_DIGITS digits, which the
+    working precision covers.  Zeros contribute nothing.
+    """
+    import mpmath
+
+    counts = Counter(float(v) for v in values)
+    mult = max([m for v, m in counts.items() if v > 0.0])
+    with mpmath.workdps(100 + SPLIT_DIGITS * mult):
+        eps = mpmath.mpf(10) ** -SPLIT_DIGITS
+        nodes = [mpmath.mpf(v) * (1 + k * eps) for v, m in counts.items() for k in range(m)]
+        nodes = [x / mpmath.fsum(nodes) for x in nodes]
+        n = len(nodes)
+        acc = [mpmath.mpf(0)] * n
+        for j, lj in enumerate(nodes):
+            if lj == 0:
+                continue
+            coef = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (n - 1)
+            for deg, lk in enumerate(nodes[:j] + nodes[j + 1:], start=1):
+                y = lj / (lj - lk)
+                for m in range(deg, 0, -1):
+                    coef[m] += y * coef[m - 1]
+            for r in range(n):
+                acc[r] += lj * mpmath.log(lj) * coef[r]
+        return np.array([float(-acc[r] / mpmath.binomial(n - 1, r)) for r in range(n)])

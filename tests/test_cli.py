@@ -98,6 +98,19 @@ class TestOracle:
                      "--nodes", "64"]) == 0
         assert json.loads(capsys.readouterr().out)["samples"] == 64
 
+    def test_contour_zero_nodes_is_a_usage_error(self, spectrum_file, capsys):
+        assert main(["oracle", "contour", "--input", spectrum_file, "--nodes", "0"]) == 5
+        assert capsys.readouterr().out == ""
+
+    def test_contour_reports_closed_form_past_dimension_24(self, tmp_path, capsys):
+        v = np.sort(np.random.default_rng(30).dirichlet(np.ones(30)))[::-1]
+        p = tmp_path / "n30.json"
+        p.write_text(json.dumps({"kind": "spectrum", "values": v.tolist()}))
+        assert main(["oracle", "contour", "--input", str(p)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["r"] == 30
+        assert payload["abs_error"] < 1e-10
+
     def test_simplex_seed_reproducible(self, spectrum_file, capsys):
         args = ["oracle", "simplex", "--input", spectrum_file, "--r", "2",
                 "--samples", "5000", "--seed", "3"]
@@ -235,11 +248,15 @@ class TestExitCodes:
         p.write_text('{"kind": "density_matrix", "re": [[0.6, 0.5], [0.5, 0.4]]}')
         assert main(["compute", "--input", str(p)]) == 3
 
-    def test_cap_exceeded(self, tmp_path):
+    def test_cap_exceeded(self, tmp_path, capsys):
+        # no dimension cap: n = 30 computes, with the uniform subentropy
         p = tmp_path / "big.json"
         n = 30
         p.write_text(json.dumps({"kind": "spectrum", "values": [1.0 / n] * n}))
-        assert main(["compute", "--input", str(p)]) == 4
+        assert main(["compute", "--input", str(p)]) == 0
+        harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["subentropy"] == pytest.approx(math.log(n) - (harmonic - 1.0), abs=1e-13)
 
     def test_usage_error_bad_subcommand(self):
         assert main(["frobnicate"]) == 5

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import helpers
 from subentropy import (
     AlphaOutOfRangeError,
-    CapExceededError,
     InvalidIndexError,
     InvalidRError,
     Spectrum,
@@ -26,6 +25,14 @@ from subentropy import (
 from subentropy.entropy import _derivative_constants
 
 LN2 = math.log(2.0)
+
+
+def _dirichlet(n, seed):
+    return np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
+
+
+def _mp_error(v):
+    return np.abs(intermediate_entropies(v) - helpers.mp_orders(v)).max()
 
 
 class TestDerivativeConstants:
@@ -193,20 +200,19 @@ class TestOrderValues:
                 intermediate_entropy([0.5, 0.3, 0.2], r)
 
     def test_cap_exceeded(self):
-        s = np.full(25, 1.0 / 25)
-        with pytest.raises(CapExceededError):
-            intermediate_entropies(s)
-        with pytest.raises(CapExceededError):
-            intermediate_entropy(s, 2)
+        # no dimension cap: n = 25, past the old one, is as accurate as n = 4
+        s = _dirichlet(25, 25)
+        want = helpers.mp_orders(s)
+        assert np.abs(intermediate_entropies(s) - want).max() < 1e-13
+        assert intermediate_entropy(s, 2) == pytest.approx(want[1], abs=1e-13)
 
     def test_entropy_uncapped_but_subentropy_capped(self):
-        # the direct sum stays numerically trivial at any n; every
-        # divided-difference formulation does not, so it refuses
+        # the subentropy is as available as the entropy at any n
         n = 30
         s = np.full(n, 1.0 / n)
         assert von_neumann_entropy(s) == pytest.approx(math.log(n), rel=1e-13)
-        with pytest.raises(CapExceededError):
-            subentropy(s)
+        harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
+        assert subentropy(s) == pytest.approx(math.log(n) - (harmonic - 1.0), abs=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 10 ** 9))
@@ -217,6 +223,43 @@ class TestOrderValues:
         assert np.all(np.diff(orders) <= 1e-10)
         assert orders.min() >= -1e-12
         assert orders.max() <= math.log(n) + 1e-12
+
+
+class TestAccuracy:
+    """Against the mpmath reference; before one engine served every order,
+    each of these came out wrong or raised."""
+
+    def test_roadmap_near_triple(self):
+        # an exact pair next to a value 1e-8 below it
+        v = _dirichlet(5, 5)
+        v[2] = v[1]
+        v[3] = v[1] * (1 - 1e-8)
+        v /= v.sum()
+        assert subentropy(v) == pytest.approx(0.30028173770218475, abs=1e-13)
+        assert _mp_error(v) < 1e-13
+
+    def test_dirichlet_n24_seed34(self):
+        # smallest relative gap 7.2e-4: the closed form alone is off by 1.2e-3
+        assert _mp_error(_dirichlet(24, 34)) < 1e-13
+
+    def test_near_pair_at_relative_gap_3e9(self):
+        v = _dirichlet(8, 0)
+        v[3] = v[2] * (1 - 3e-9)
+        assert _mp_error(v / v.sum()) < 1e-13
+
+    def test_four_values_all_gaps_near_1e4(self):
+        v = (1 - 1e-4) ** np.arange(4)
+        assert _mp_error(v / v.sum()) < 1e-13
+
+    @pytest.mark.parametrize("n", [12, 32, 64])
+    def test_dirichlet_spectra(self, n):
+        assert _mp_error(_dirichlet(n, n)) < 1e-13
+
+    @pytest.mark.parametrize("n, tol", [(25, 1e-13), (64, 1e-13), (256, 5e-13), (1024, 5e-13)])
+    def test_uniform_spectrum_at_large_n(self, n, tol):
+        orders = intermediate_entropies(np.full(n, 1.0 / n))
+        want = [max_intermediate_entropy(n, r) for r in range(1, n + 1)]
+        assert np.abs(orders - want).max() < tol
 
 
 class TestMaxValue:
@@ -320,8 +363,11 @@ class TestReport:
             rep.intermediate[0] = 0.0
 
     def test_cap_propagates(self):
-        with pytest.raises(CapExceededError):
-            entropy_report(np.full(25, 1.0 / 25))
+        # the report passes its own consistency checks past the old cap
+        rep = entropy_report(np.full(25, 1.0 / 25))
+        want = [max_intermediate_entropy(25, r) for r in range(1, 26)]
+        assert np.abs(rep.intermediate - want).max() < 1e-13
+        assert rep.subentropy == pytest.approx(want[-1], abs=1e-13)
 
     def test_accepts_spectrum_and_list(self):
         a = entropy_report(Spectrum([0.6, 0.4]))

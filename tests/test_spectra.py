@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from subentropy import (
     EmptyMatrixError,
     InvalidIndexError,
@@ -15,11 +16,12 @@ from subentropy import (
     ValidationError,
     as_spectrum,
     haar_random_unitaries,
+    intermediate_entropies,
     pad_with_zeros,
     tensor_spectrum,
     validate_density_matrix,
 )
-from subentropy.entropy import CLUSTER_TOL, cluster
+from subentropy.entropy import CLOSED_FORM_GAP_PRODUCT, _distinct_orders_batch
 
 
 class TestSpectrum:
@@ -165,37 +167,35 @@ class TestDensityMatrixValidation:
 
 
 class TestCluster:
+    """Clustered spectra need no merging: the order values of nearly equal
+    eigenvalues come out within 1e-13 of their merged limit."""
+
     def test_distinct_unchanged(self):
-        values, mults = cluster(Spectrum([0.5, 0.3, 0.2]))
-        assert tuple(mults) == (1, 1, 1)
-        assert np.allclose(values, [0.5, 0.3, 0.2])
+        s = [0.5, 0.3, 0.2]
+        want = [helpers.brute_order_value(s, r) for r in (1, 2, 3)]
+        assert np.abs(intermediate_entropies(s) - want).max() < 1e-14
 
     def test_sub_tolerance_gap_merges_to_mean(self):
         a, b = 0.5, 0.5 * (1 - 1e-10)
         rest = 1.0 - a - b
-        values, mults = cluster(Spectrum([a, b, rest]))
-        assert tuple(mults) == (2, 1)
-        assert values[0] == pytest.approx((a + b) / 2, rel=1e-15)
+        merged = intermediate_entropies([(a + b) / 2, (a + b) / 2, rest])
+        assert np.abs(intermediate_entropies([a, b, rest]) - merged).max() < 1e-13
 
     def test_gap_above_tolerance_stays_separate(self):
         a, b = 0.5, 0.5 * (1 - 1e-6)
-        rest = 1.0 - a - b
-        _, mults = cluster(Spectrum([a, b, rest]))
-        assert tuple(mults) == (1, 1, 1)
+        s = [a, b, 1.0 - a - b]
+        assert np.abs(intermediate_entropies(s) - helpers.mp_orders(s)).max() < 1e-13
 
     def test_tiny_values_merge_into_exact_zero(self):
-        s = Spectrum([0.6, 0.4 - 2e-15, 1e-15, 1e-15])
-        values, mults = cluster(s)
-        assert values[-1] == 0.0
-        assert mults[-1] == 2
+        tiny = intermediate_entropies([0.6, 0.4 - 2e-15, 1e-15, 1e-15])
+        assert np.abs(tiny - intermediate_entropies([0.6, 0.4, 0.0, 0.0])).max() < 1e-13
 
     def test_chained_merge_uses_run_mean(self):
         base = 0.3
         vals = [base * (1 + 4e-10), base, base * (1 - 4e-10)]
-        vals.append(1.0 - sum(vals))
-        values, mults = cluster(Spectrum(sorted(vals, reverse=True)))
-        assert mults[0] == 3
-        assert values[0] == pytest.approx(base, rel=1e-12)
+        spread = intermediate_entropies(vals + [1.0 - sum(vals)])
+        exact = intermediate_entropies([base] * 3 + [1.0 - 3 * base])
+        assert np.abs(spread - exact).max() < 1e-13
 
 
 class TestPadAndTensor:
@@ -232,5 +232,11 @@ class TestPadAndTensor:
 
 
 def test_cluster_tolerance_constant_is_strict_enough():
-    # the vectorized distinct path needs gaps above this to stay accurate
-    assert CLUSTER_TOL <= 1e-8
+    # rows whose relative gaps multiply to just CLOSED_FORM_GAP_PRODUCT
+    # still get the closed form within 1e-13
+    for n in (2, 3, 4, 8):
+        gap = CLOSED_FORM_GAP_PRODUCT ** (1.0 / (n - 1))
+        v = (1.0 - gap) ** np.arange(n)
+        v /= v.sum()
+        got = _distinct_orders_batch(v[None])[0]
+        assert np.abs(got - helpers.mp_orders(v)).max() < 1e-13, n

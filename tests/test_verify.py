@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import helpers
 from subentropy import (
     InvalidIndexError,
     InvalidRError,
@@ -16,7 +17,7 @@ from subentropy import (
     run_suites,
 )
 from subentropy import intermediate_entropies
-from subentropy.entropy import _orders_matrix, cluster
+from subentropy.entropy import _orders_matrix
 from subentropy.verify import _sample_spectra
 
 
@@ -32,12 +33,21 @@ class TestSampling:
     def test_degenerate_injection_every_twentieth(self):
         rng = np.random.default_rng(1)
         lam = _sample_spectra(rng, 60, 4)
-        # rows 19, 39, 59: alternating exact repeats and ~1e-7 relative gaps
+        # rows 19, 39, 59: an exact pair, a ~1e-7 relative gap, and an
+        # exact pair with a value 5e-8 below it
         gaps0 = np.min(np.abs(np.diff(lam[19])))
         assert gaps0 == 0.0
         rel39 = np.min(np.abs(np.diff(lam[39])) / lam[39][:-1])
         assert 1e-8 < rel39 < 1e-6
-        assert np.min(np.abs(np.diff(lam[59]))) == 0.0
+        rel59 = np.sort(-np.diff(lam[59]) / lam[59][:-1])
+        assert rel59[0] == 0.0
+        assert rel59[1] == pytest.approx(5e-8, rel=1e-6)
+
+    def test_near_triple_falls_back_to_near_pair_at_n2(self):
+        rng = np.random.default_rng(1)
+        lam = _sample_spectra(rng, 60, 2)
+        rel = -np.diff(lam[[39, 59]], axis=1)[:, 0] / lam[[39, 59], 0]
+        assert np.all((1e-8 < rel) & (rel < 1e-6))
 
     def test_injection_can_be_disabled(self):
         rng = np.random.default_rng(2)
@@ -75,20 +85,32 @@ class TestOrdersMatrix:
         assert np.allclose(out[0], want, atol=1e-13)
 
     def test_clustered_rows_take_the_per_row_engine(self):
-        # an exact pair and a near pair (relative gap 1e-10, below the
-        # cluster tolerance), batched with separated rows, must come out
-        # exactly as intermediate_entropies gives them
+        # an exact pair, a near pair (relative gap 1e-10) and a near triple,
+        # batched with separated rows, must match the mpmath reference
         exact = np.array([0.4, 0.25, 0.25, 0.1])
         near = np.array([0.35, 0.3, 0.3 * (1 - 1e-10), 0.05])
-        near /= near.sum()
-        lam = np.array([[0.4, 0.3, 0.2, 0.1], exact, near, [0.5, 0.3, 0.15, 0.05]])
+        triple = np.array([0.3, 0.3, 0.3 * (1 - 1e-8), 0.1])
+        lam = np.array([[0.4, 0.3, 0.2, 0.1], exact, near / near.sum(),
+                        triple / triple.sum(), [0.5, 0.3, 0.15, 0.05]])
         out = _orders_matrix(lam)
-        for row in (1, 2):
-            assert cluster(lam[row])[1].max() == 2
-            assert np.array_equal(out[row], intermediate_entropies(lam[row]))
+        for got, row in zip(out, lam):
+            assert np.abs(got - helpers.mp_orders(row)).max() < 1e-13
 
 
 class TestIndividualSuites:
+    @pytest.mark.parametrize("suite", [
+        lambda trials, seed: check_inequality_chain(4, trials, seed),
+        lambda trials, seed: check_invariance(4, 1, [0.5], trials, seed),
+        lambda trials, seed: check_invariance_control(trials, seed),
+        lambda trials, seed: check_concavity(4, 1, trials, seed),
+        lambda trials, seed: check_oracle_agreement(3, trials, 200, seed),
+        lambda trials, seed: check_pure_additivity(trials, seed),
+    ], ids=["chain", "invariance", "control", "concavity", "oracles", "additivity"])
+    def test_trials_and_seed_validated(self, suite):
+        for trials, seed in ((0, 1), (-1, 0), (2.5, 0), (True, 0), (3, -1), (3, "x"), (3, 1.5)):
+            with pytest.raises(InvalidIndexError):
+                suite(trials, seed)
+
     def test_chain_passes(self):
         v = check_inequality_chain(4, 60, seed=10)
         assert v.passed and v.failures == 0
